@@ -186,11 +186,11 @@ func TestLoadOverloadRateLimited(t *testing.T) {
 		t.Fatalf("server counted %d limited events, generator %d replay + %d warm-up",
 			rep.ServerLimitedEvents, rep.RateLimitedEvents, rep.WarmupLimitedEvents)
 	}
-	snap, err := e.Snapshot("limited")
+	st, err := e.Stream("limited")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Admission == nil || snap.Admission.LimitedBatches != uint64(rep.RateLimitedBatches) {
+	if snap := st.Snapshot(); snap.Admission == nil || snap.Admission.LimitedBatches != uint64(rep.RateLimitedBatches) {
 		t.Fatalf("engine admission view: %+v", snap.Admission)
 	}
 }

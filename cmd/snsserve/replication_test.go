@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,7 +39,8 @@ func newLeaderServer(t *testing.T) (*slicenstitch.Engine, *slicenstitch.Stream, 
 
 // openFollower opens a read replica of the given leader URL over dir and
 // serves it through the snsserve mux. Retry knobs are tightened so the
-// test converges quickly.
+// test converges quickly. The server and engine close at test cleanup,
+// so a failed run never leaves a live follower writing into dir.
 func openFollower(t *testing.T, dir, leaderURL string) (*slicenstitch.Engine, *httptest.Server) {
 	t.Helper()
 	e, err := slicenstitch.Open(slicenstitch.Options{
@@ -53,6 +57,7 @@ func openFollower(t *testing.T, dir, leaderURL string) (*slicenstitch.Engine, *h
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(newMux(e, 1024))
+	t.Cleanup(func() { srv.Close(); e.Close() })
 	return e, srv
 }
 
@@ -101,7 +106,7 @@ func TestHealthEndpoints(t *testing.T) {
 // operator surface: status LSN fields, the read_only write rejection,
 // and the sns_replication_* exposition families.
 func TestLeaderFollowerConvergence(t *testing.T) {
-	leader, st, lsrv := newLeaderServer(t)
+	_, st, lsrv := newLeaderServer(t)
 
 	fillWindow(t, lsrv, "/v1")
 
@@ -188,16 +193,12 @@ func TestLeaderFollowerConvergence(t *testing.T) {
 	if err := st.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	lstat2, err := leader.Snapshot("test")
-	if err != nil {
-		t.Fatal(err)
-	}
+	lstat2 := st.Snapshot()
 	if lstat2.AppliedLSN <= lstat.AppliedLSN {
 		t.Fatalf("leader did not advance: %d -> %d", lstat.AppliedLSN, lstat2.AppliedLSN)
 	}
 
-	follower2, fsrv2 := openFollower(t, fdir, lsrv.URL)
-	defer func() { fsrv2.Close(); follower2.Close() }()
+	_, fsrv2 := openFollower(t, fdir, lsrv.URL)
 	waitReady(t, fsrv2)
 	deadline := time.Now().Add(20 * time.Second)
 	for {
@@ -273,5 +274,81 @@ func TestReadyzFollowerGating(t *testing.T) {
 	}
 	if body.Ready || body.Reason == "" {
 		t.Fatalf("readyz payload: %+v", body)
+	}
+}
+
+// TestReadyzWaitsForBootstrap pins readiness to the leader's stream set:
+// while a stream's bootstrap is held up, the follower has listed the
+// leader's streams but has no shard for this one, and /readyz must answer
+// 503 until the stream is installed and tailing.
+func TestReadyzWaitsForBootstrap(t *testing.T) {
+	leader, st, _ := newLeaderServer(t)
+	ctx := context.Background()
+	for tm := int64(0); tm < 40; tm++ {
+		if err := st.Push(ctx, []int{int(tm) % 5, int(tm) % 4}, 1, tm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// The gated leader holds every checkpoint download until release is
+	// closed, and counts stream-list requests: a second list request
+	// means the follower's first reconciliation has finished.
+	release := make(chan struct{})
+	blocked := make(chan struct{}, 1)
+	var lists atomic.Int32
+	mux := newMux(leader, 1024)
+	gated := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		switch {
+		case req.Method == http.MethodGet && req.URL.Path == "/v1/streams":
+			lists.Add(1)
+		case req.Method == http.MethodGet && strings.HasSuffix(req.URL.Path, "/checkpoint"):
+			select {
+			case blocked <- struct{}{}:
+			default:
+			}
+			select {
+			case <-release:
+			case <-req.Context().Done():
+				return
+			}
+		}
+		mux.ServeHTTP(rw, req)
+	}))
+	t.Cleanup(gated.Close)
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // runs before gated.Close, which waits for handlers
+
+	_, fsrv := openFollower(t, t.TempDir(), gated.URL)
+	select {
+	case <-blocked:
+	case <-time.After(20 * time.Second):
+		t.Fatal("follower never requested a bootstrap checkpoint")
+	}
+	for deadline := time.Now().Add(20 * time.Second); lists.Load() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never finished its first reconciliation")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	var ready struct {
+		Ready  bool   `json:"ready"`
+		Reason string `json:"reason"`
+	}
+	if resp := getJSON(t, fsrv.URL+"/readyz", &ready); resp.StatusCode != http.StatusServiceUnavailable || ready.Ready {
+		t.Fatalf("readyz during bootstrap = %d %+v, want 503", resp.StatusCode, ready)
+	}
+
+	unblock()
+	waitReady(t, fsrv)
+	var fstat slicenstitch.Snapshot
+	if resp := getJSON(t, fsrv.URL+"/v1/streams/test/status", &fstat); resp.StatusCode != http.StatusOK {
+		t.Fatalf("follower status after ready = %d", resp.StatusCode)
+	}
+	if fstat.Replication == nil || fstat.Replication.State != "tailing" {
+		t.Fatalf("follower ready before tailing: %+v", fstat.Replication)
 	}
 }

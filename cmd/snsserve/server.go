@@ -116,8 +116,8 @@ func newMux(e *slicenstitch.Engine, readyMaxLag uint64) *http.ServeMux {
 		names := e.Streams() // sorted: the listing is deterministic
 		snaps := make([]slicenstitch.Snapshot, 0, len(names))
 		for _, n := range names {
-			if snap, err := e.Snapshot(n); err == nil {
-				snaps = append(snaps, snap)
+			if st, err := e.Stream(n); err == nil {
+				snaps = append(snaps, st.Snapshot())
 			}
 		}
 		writeJSON(rw, map[string]interface{}{"streams": snaps})
@@ -312,10 +312,11 @@ func newMux(e *slicenstitch.Engine, readyMaxLag uint64) *http.ServeMux {
 	mux.HandleFunc("GET /{$}", hs.middleware(hs.register("GET", "/"), func(rw http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(rw, "slicenstitch multi-stream monitor — %d streams\n\n", len(e.Streams()))
 		for _, n := range e.Streams() {
-			snap, err := e.Snapshot(n)
+			st, err := e.Stream(n)
 			if err != nil {
 				continue
 			}
+			snap := st.Snapshot()
 			fmt.Fprintf(rw, "%-16s time %-8d ingested %-8d nnz %-6d fitness %.4f  %s  queue %d/%d\n",
 				n, snap.Now, snap.Ingested, snap.NNZ, snap.Fitness, snap.Algorithm,
 				snap.QueueDepth, snap.QueueCap)

@@ -501,9 +501,23 @@ func TestBackgroundCheckpointTruncatesWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyOpsToStream(t, st, ops)
-	if err := st.Flush(context.Background()); err != nil {
-		t.Fatal(err)
+	// Apply one op at a time and let the checkpointer take each queued
+	// capture before the next op, so no capture is skipped as "checkpointer
+	// busy". On a starved scheduler (GOMAXPROCS=1) the checkpointer may
+	// otherwise not run before Close: only the first and the shutdown
+	// checkpoints exist, and the WAL floor stays inside the first segment.
+	deadline := time.Now().Add(20 * time.Second)
+	for i := range ops {
+		applyOpsToStream(t, st, ops[i:i+1])
+		if err := st.Flush(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for len(st.sh.dur.ckptC) > 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("checkpointer never took a queued capture")
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -796,11 +810,11 @@ func TestRestoreAcceptsVersion1Formats(t *testing.T) {
 		t.Fatalf("v1 engine restore: %v", err)
 	}
 	defer e.Close()
-	snap, err := e.Snapshot("legacy")
+	st, err := e.Stream("legacy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Started || snap.QueueCap != 64 {
+	if snap := st.Snapshot(); !snap.Started || snap.QueueCap != 64 {
 		t.Fatalf("v1 engine restore lost state: %+v", snap)
 	}
 }
@@ -859,7 +873,11 @@ func TestAddStreamWipesDebrisDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	if snap, err := e2.Snapshot(name); err != nil || snap.Started {
-		t.Fatalf("recovered reborn stream wrong: %+v err %v", snap, err)
+	reborn, err := e2.Stream(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := reborn.Snapshot(); snap.Started {
+		t.Fatalf("recovered reborn stream wrong: %+v", snap)
 	}
 }

@@ -23,19 +23,19 @@ import (
 // publishes an immutable Snapshot, so reads (Snapshot, Predict, Streams)
 // are wait-free and never touch the ingestion hot path.
 //
-// The primary client surface is the *Stream handle: AddStream and Stream
-// return one, and its methods pin the shard once so the per-call cost is
-// a mailbox operation with no registry lookup. The name-keyed Engine
-// methods remain as a convenience; they perform one read-locked map
-// lookup per call and then run the same code the handle does.
+// The client surface for one stream is the *Stream handle: AddStream and
+// Stream return one, and its methods pin the shard once so the per-call
+// cost is a mailbox operation with no registry lookup. The Engine itself
+// manages the stream set (AddStream, Stream, RemoveStream, Streams) and
+// the operations that span it (FlushAll, Checkpoint, Metrics, Shutdown).
 //
-// Ingestion is asynchronous: PushBatch hands a batch to the shard's
-// mailbox and returns. What happens when the mailbox is full is the
-// stream's Backpressure policy; per-event validation errors surface in
-// the shard's stats and the snapshot's LastError rather than from
-// PushBatch. Use Flush to wait for everything queued so far to be
-// applied. Every blocking operation takes a context.Context and unblocks
-// with ctx.Err() on cancellation.
+// Ingestion is asynchronous: Stream.PushBatch hands a batch to the
+// shard's mailbox and returns. What happens when the mailbox is full is
+// the stream's Backpressure policy; per-event validation errors surface
+// in the shard's stats and the snapshot's LastError rather than from
+// PushBatch. Use Stream.Flush (or FlushAll) to wait for everything queued
+// so far to be applied. Every blocking operation takes a context.Context
+// and unblocks with ctx.Err() on cancellation.
 type Engine struct {
 	mu     sync.RWMutex
 	shards map[string]*shard
@@ -360,11 +360,10 @@ func (e *Engine) AddStream(name string, cfg StreamConfig) (*Stream, error) {
 }
 
 // Stream returns a handle to the named stream. The handle pins the
-// shard, so its methods skip the per-call registry lookup the name-keyed
-// Engine methods pay; hold it for the lifetime of your use of the
-// stream. A handle outlives RemoveStream gracefully: snapshot reads keep
-// serving the last published state, while ingestion and control calls
-// return ErrStreamStopped.
+// shard, so this is the only registry lookup its methods need; hold it
+// for the lifetime of your use of the stream. A handle outlives
+// RemoveStream gracefully: snapshot reads keep serving the last published
+// state, while ingestion and control calls return ErrStreamStopped.
 func (e *Engine) Stream(name string) (*Stream, error) {
 	s, err := e.shard(name)
 	if err != nil {
@@ -503,24 +502,6 @@ func (s *shard) goneErr() error {
 	return fmt.Errorf("%w: %q", ErrStreamStopped, s.name)
 }
 
-// PushBatch queues events for asynchronous ingestion on the named stream.
-// The engine takes ownership of the slice. Under BackpressureError a full
-// mailbox returns an error wrapping ErrBackpressure; under
-// BackpressureBlock a blocked put honors ctx cancellation. Per-event
-// validation errors are reported via the snapshot, not here.
-func (e *Engine) PushBatch(ctx context.Context, name string, events []Event) error {
-	s, err := e.shard(name)
-	if err != nil {
-		return err
-	}
-	return (&Stream{sh: s}).PushBatch(ctx, events)
-}
-
-// Push queues a single event (a one-element PushBatch).
-func (e *Engine) Push(ctx context.Context, name string, coord []int, value float64, tm int64) error {
-	return e.PushBatch(ctx, name, []Event{{Coord: coord, Value: value, Time: tm}})
-}
-
 // control runs an op on the shard's writer goroutine and waits for its
 // reply, honoring ctx both while queueing and while waiting. Control
 // messages always block for mailbox space (never dropped, never rejected)
@@ -543,58 +524,21 @@ func (s *shard) control(ctx context.Context, msg shardMsg) error {
 	}
 }
 
-// Start warm-starts the named stream's tracker (ALS on the window built
-// from everything queued before the call) and switches it online. It
-// waits for the warm start to finish.
-func (e *Engine) Start(ctx context.Context, name string) error {
-	s, err := e.shard(name)
-	if err != nil {
-		return err
-	}
-	return (&Stream{sh: s}).Start(ctx)
-}
-
-// AdvanceTo moves the named stream's clock forward without a tuple,
-// after all previously queued batches.
-func (e *Engine) AdvanceTo(ctx context.Context, name string, tm int64) error {
-	s, err := e.shard(name)
-	if err != nil {
-		return err
-	}
-	return (&Stream{sh: s}).AdvanceTo(ctx, tm)
-}
-
-// Flush blocks until every batch queued before the call has been applied,
-// then publishes a fresh snapshot.
-func (e *Engine) Flush(ctx context.Context, name string) error {
-	s, err := e.shard(name)
-	if err != nil {
-		return err
-	}
-	return s.control(ctx, shardMsg{op: opFlush})
-}
-
 // FlushAll flushes every stream, stopping at the first error (including
 // ctx cancellation).
 func (e *Engine) FlushAll(ctx context.Context) error {
-	for _, name := range e.Streams() {
-		if err := e.Flush(ctx, name); err != nil {
+	e.mu.RLock()
+	shards := make([]*shard, 0, len(e.shards))
+	for _, s := range e.shards {
+		shards = append(shards, s)
+	}
+	e.mu.RUnlock()
+	for _, s := range shards {
+		if err := s.control(ctx, shardMsg{op: opFlush}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Snapshot returns the named stream's current published view, with live
-// queue counters stamped in. It is wait-free with respect to the shard
-// writer. Model fields (Fitness, Factors) are at most PublishEvery
-// events stale.
-func (e *Engine) Snapshot(name string) (Snapshot, error) {
-	s, err := e.shard(name)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	return s.read(), nil
 }
 
 // Predict evaluates this snapshot's model at categorical coordinates and
@@ -665,33 +609,6 @@ func (s *shard) admissionReport() *metrics.AdmissionReport {
 	r.Burst = s.limiter.Burst()
 	r.Tokens = s.limiter.Fill()
 	return &r
-}
-
-// Predict evaluates the named stream's published model at categorical
-// coordinates and a time-mode index in [0, W). Like Snapshot it is
-// wait-free and reflects the last published factors. Before the warm
-// start it returns ErrNotStarted.
-func (e *Engine) Predict(name string, coord []int, timeIdx int) (float64, error) {
-	s, err := e.shard(name)
-	if err != nil {
-		return 0, err
-	}
-	return (&Stream{sh: s}).Predict(coord, timeIdx)
-}
-
-// Observed returns the named stream's live window entry at categorical
-// coordinates and a time-mode index. Unlike Predict it must consult the
-// writer's window, so it travels through the mailbox and waits behind
-// previously queued batches; bound that wait with a context deadline —
-// see Stream.Observed for the full bounded-read contract
-// (ErrObservedUnavailable on a full mailbox, ctx.Err() at the deadline,
-// reads shed before data under DropOldest).
-func (e *Engine) Observed(ctx context.Context, name string, coord []int, timeIdx int) (float64, error) {
-	s, err := e.shard(name)
-	if err != nil {
-		return 0, err
-	}
-	return (&Stream{sh: s}).Observed(ctx, coord, timeIdx)
 }
 
 // Shutdown shuts every stream down: mailboxes stop accepting work,

@@ -13,23 +13,21 @@ import (
 func TestEngineObservedValidation(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	if _, err := e.AddStream("s", validStreamConfig()); err != nil {
+	st, err := e.AddStream("s", validStreamConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Observed(bg, "nope", []int{0, 0}, 0); !errors.Is(err, ErrStreamNotFound) {
-		t.Fatalf("unknown stream err = %v", err)
-	}
 	var coordErr *CoordError
-	if _, err := e.Observed(bg, "s", []int{99, 0}, 0); !errors.As(err, &coordErr) {
+	if _, err := st.Observed(bg, []int{99, 0}, 0); !errors.As(err, &coordErr) {
 		t.Fatalf("bad coord err = %v, want *CoordError", err)
 	}
 	// Idle stream: the read answers after the queued push.
-	if err := e.Push(bg, "s", []int{2, 3}, 7, 0); err != nil {
+	if err := st.Push(bg, []int{2, 3}, 7, 0); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(bg, 5*time.Second)
 	defer cancel()
-	v, err := e.Observed(ctx, "s", []int{2, 3}, 2)
+	v, err := st.Observed(ctx, []int{2, 3}, 2)
 	if err != nil {
 		t.Fatalf("Observed = (%v, %v)", v, err)
 	}
@@ -51,7 +49,7 @@ func TestEngineObservedBoundedUnderBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := fillAndStart(t, e, "s", 11)
+	tm := fillAndStart(t, st, 11)
 
 	// Jam the writer: sequential started batches that advance time, so
 	// every arrival drags its shift/expiry cascade with it.
@@ -76,7 +74,7 @@ func TestEngineObservedBoundedUnderBacklog(t *testing.T) {
 	// Wait for the mailbox to actually fill so the read contends with a
 	// real backlog.
 	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
-		if mustSnap(t, e, "s").QueueDepth >= cfg.MailboxCapacity {
+		if st.Snapshot().QueueDepth >= cfg.MailboxCapacity {
 			break
 		}
 		time.Sleep(100 * time.Microsecond)
@@ -149,8 +147,8 @@ func TestEngineContextCancellationUnblocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm := fillAndStart(t, e, "s", 13)
-	stallWriter(t, e, "s", tm) // writer busy for a while
+	tm := fillAndStart(t, st, 13)
+	stallWriter(t, st, tm) // writer busy for a while
 	// Fill the single mailbox slot so the next put must block.
 	for deadline := time.Now().Add(2 * time.Second); ; {
 		if err := func() error {
@@ -193,7 +191,7 @@ func TestEngineContextCancellationUnblocks(t *testing.T) {
 		t.Fatalf("cancelled Flush err = %v", err)
 	}
 	// The engine is still healthy afterwards.
-	if err := e.Flush(bg, "s"); err != nil {
+	if err := st.Flush(bg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -252,13 +250,14 @@ func TestEngineDropOldestAccounting(t *testing.T) {
 func TestEngineCheckpointConcurrentWithIngestAndRemove(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	if _, err := e.AddStream("steady", validStreamConfig()); err != nil {
+	steady, err := e.AddStream("steady", validStreamConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.AddStream("churn", validStreamConfig()); err != nil {
 		t.Fatal(err)
 	}
-	fillAndStart(t, e, "steady", 5)
+	fillAndStart(t, steady, 5)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -278,7 +277,7 @@ func TestEngineCheckpointConcurrentWithIngestAndRemove(t *testing.T) {
 				tm++
 				batch[k] = Event{Coord: []int{k % 5, k % 4}, Value: 1, Time: tm}
 			}
-			if err := e.PushBatch(bg, "steady", batch); err != nil {
+			if err := steady.PushBatch(bg, batch); err != nil {
 				return
 			}
 		}

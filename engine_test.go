@@ -21,8 +21,8 @@ func validStreamConfig() StreamConfig {
 }
 
 // fillAndStart pushes enough events to cover the initial window and
-// warm-starts the named stream. Returns the last stream time used.
-func fillAndStart(t testing.TB, e *Engine, name string, seed int64) int64 {
+// warm-starts the stream. Returns the last stream time used.
+func fillAndStart(t testing.TB, st *Stream, seed int64) int64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	events := make([]Event, 0, 64)
@@ -31,10 +31,10 @@ func fillAndStart(t testing.TB, e *Engine, name string, seed int64) int64 {
 		tm += int64(rng.Intn(2))
 		events = append(events, Event{Coord: []int{rng.Intn(5), rng.Intn(4)}, Value: 1, Time: tm})
 	}
-	if err := e.PushBatch(bg, name, events); err != nil {
+	if err := st.PushBatch(bg, events); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Start(bg, name); err != nil {
+	if err := st.Start(bg); err != nil {
 		t.Fatal(err)
 	}
 	return tm
@@ -60,28 +60,20 @@ func TestEngineLifecycle(t *testing.T) {
 	if _, err := e.AddStream("taxi", validStreamConfig()); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if _, err := e.AddStream("bikes", validStreamConfig()); err != nil {
+	bikes, err := e.AddStream("bikes", validStreamConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Streams(); len(got) != 2 || got[0] != "bikes" || got[1] != "taxi" {
 		t.Fatalf("Streams = %v", got)
 	}
 
-	if _, err := e.Snapshot("nope"); !errors.Is(err, ErrStreamNotFound) {
-		t.Fatalf("Snapshot(unknown) err = %v", err)
-	}
 	if _, err := e.Stream("nope"); !errors.Is(err, ErrStreamNotFound) {
 		t.Fatalf("Stream(unknown) err = %v", err)
 	}
-	if err := e.PushBatch(bg, "nope", []Event{{Coord: []int{0, 0}, Value: 1}}); !errors.Is(err, ErrStreamNotFound) {
-		t.Fatalf("PushBatch(unknown) err = %v", err)
-	}
 
-	tm := fillAndStart(t, e, "taxi", 1)
-	snap, err := e.Snapshot("taxi")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tm := fillAndStart(t, st, 1)
+	snap := st.Snapshot()
 	if !snap.Started || snap.Ingested != 50 || snap.NNZ == 0 || snap.Factors == nil {
 		t.Fatalf("post-start snapshot: %+v", snap)
 	}
@@ -90,24 +82,24 @@ func TestEngineLifecycle(t *testing.T) {
 	}
 
 	// The other stream is independent and still offline.
-	if snap2, _ := e.Snapshot("bikes"); snap2.Started {
+	if bikes.Snapshot().Started {
 		t.Fatal("bikes started by taxi's Start")
 	}
 
-	if _, err := e.Predict("taxi", []int{1, 1}, 0); err != nil {
+	if _, err := st.Predict([]int{1, 1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Predict("taxi", []int{1}, 0); err == nil {
+	if _, err := st.Predict([]int{1}, 0); err == nil {
 		t.Fatal("short coord accepted")
 	}
-	if _, err := e.Predict("bikes", []int{1, 1}, 0); !errors.Is(err, ErrNotStarted) {
+	if _, err := bikes.Predict([]int{1, 1}, 0); !errors.Is(err, ErrNotStarted) {
 		t.Fatalf("Predict before Start err = %v", err)
 	}
 
-	if err := e.AdvanceTo(bg, "taxi", tm+20); err != nil {
+	if err := st.AdvanceTo(bg, tm+20); err != nil {
 		t.Fatal(err)
 	}
-	if snap, _ = e.Snapshot("taxi"); snap.Now != tm+20 {
+	if snap = st.Snapshot(); snap.Now != tm+20 {
 		t.Fatalf("Now = %d, want %d", snap.Now, tm+20)
 	}
 
@@ -123,8 +115,8 @@ func TestEngineLifecycle(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal("Close must be idempotent")
 	}
-	if _, err := e.Snapshot("bikes"); !errors.Is(err, ErrEngineClosed) {
-		t.Fatalf("Snapshot after Close err = %v", err)
+	if _, err := e.Stream("bikes"); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("Stream after Close err = %v", err)
 	}
 	if _, err := e.AddStream("late", validStreamConfig()); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("AddStream after Close err = %v", err)
@@ -159,13 +151,13 @@ func TestEngineStreamsSorted(t *testing.T) {
 // stallWriter occupies the shard writer long enough for subsequent puts to
 // pile up in the mailbox: one big batch is dequeued immediately and chewed
 // through while the test floods the queue behind it.
-func stallWriter(t testing.TB, e *Engine, name string, tm int64) {
+func stallWriter(t testing.TB, st *Stream, tm int64) {
 	t.Helper()
 	heavy := make([]Event, 20000)
 	for i := range heavy {
 		heavy[i] = Event{Coord: []int{i % 5, i % 4}, Value: 1, Time: tm}
 	}
-	if err := e.PushBatch(bg, name, heavy); err != nil {
+	if err := st.PushBatch(bg, heavy); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -176,15 +168,16 @@ func TestEngineBackpressureError(t *testing.T) {
 	cfg := validStreamConfig()
 	cfg.MailboxCapacity = 1
 	cfg.Backpressure = BackpressureError
-	if _, err := e.AddStream("s", cfg); err != nil {
+	st, err := e.AddStream("s", cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	tm := fillAndStart(t, e, "s", 3)
-	stallWriter(t, e, "s", tm)
+	tm := fillAndStart(t, st, 3)
+	stallWriter(t, st, tm)
 
 	var got error
 	for i := 0; i < 10000; i++ {
-		if err := e.PushBatch(bg, "s", []Event{{Coord: []int{0, 0}, Value: 1, Time: tm}}); err != nil {
+		if err := st.PushBatch(bg, []Event{{Coord: []int{0, 0}, Value: 1, Time: tm}}); err != nil {
 			got = err
 			break
 		}
@@ -193,7 +186,7 @@ func TestEngineBackpressureError(t *testing.T) {
 		t.Fatalf("flooding a capacity-1 mailbox under BackpressureError: err = %v", got)
 	}
 	// Control messages still get through (blocking put) and drain the queue.
-	if err := e.Flush(bg, "s"); err != nil {
+	if err := st.Flush(bg); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -204,24 +197,22 @@ func TestEngineBackpressureDropOldest(t *testing.T) {
 	cfg := validStreamConfig()
 	cfg.MailboxCapacity = 1
 	cfg.Backpressure = BackpressureDropOldest
-	if _, err := e.AddStream("s", cfg); err != nil {
-		t.Fatal(err)
-	}
-	tm := fillAndStart(t, e, "s", 4)
-	stallWriter(t, e, "s", tm)
-
-	for i := 0; i < 1000; i++ {
-		if err := e.PushBatch(bg, "s", []Event{{Coord: []int{0, 0}, Value: 1, Time: tm}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Flush(bg, "s"); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := e.Snapshot("s")
+	st, err := e.AddStream("s", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tm := fillAndStart(t, st, 4)
+	stallWriter(t, st, tm)
+
+	for i := 0; i < 1000; i++ {
+		if err := st.PushBatch(bg, []Event{{Coord: []int{0, 0}, Value: 1, Time: tm}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Flush(bg); err != nil {
+		t.Fatal(err)
+	}
+	snap := st.Snapshot()
 	if snap.Dropped == 0 {
 		t.Fatal("no batches dropped despite capacity-1 mailbox flood")
 	}
@@ -233,48 +224,47 @@ func TestEngineBackpressureDropOldest(t *testing.T) {
 func TestEngineObserved(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	if _, err := e.AddStream("s", validStreamConfig()); err != nil {
+	st, err := e.AddStream("s", validStreamConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	tm := fillAndStart(t, e, "s", 7)
-	if err := e.Push(bg, "s", []int{2, 3}, 7, tm); err != nil {
+	tm := fillAndStart(t, st, 7)
+	if err := st.Push(bg, []int{2, 3}, 7, tm); err != nil {
 		t.Fatal(err)
 	}
 	// Observed is a control op: it queues behind the push above, so no
 	// explicit Flush is needed for it to see the event.
-	v, err := e.Observed(bg, "s", []int{2, 3}, 2)
+	v, err := st.Observed(bg, []int{2, 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v < 7 {
 		t.Fatalf("Observed = %v, want >= 7", v)
 	}
-	if _, err := e.Observed(bg, "s", []int{99, 0}, 0); err == nil {
+	if _, err := st.Observed(bg, []int{99, 0}, 0); err == nil {
 		t.Fatal("bad coord accepted")
-	}
-	if _, err := e.Observed(bg, "nope", []int{0, 0}, 0); !errors.Is(err, ErrStreamNotFound) {
-		t.Fatalf("Observed(unknown) err = %v", err)
 	}
 }
 
 func TestEngineIngestErrorsSurfaceInSnapshot(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	if _, err := e.AddStream("s", validStreamConfig()); err != nil {
+	st, err := e.AddStream("s", validStreamConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
 	// PushBatch accepts the batch; the out-of-range coordinate is rejected
 	// by the writer and surfaces via the snapshot, not the call.
-	if err := e.PushBatch(bg, "s", []Event{
+	if err := st.PushBatch(bg, []Event{
 		{Coord: []int{0, 0}, Value: 1, Time: 0},
 		{Coord: []int{99, 0}, Value: 1, Time: 0},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Flush(bg, "s"); err != nil {
+	if err := st.Flush(bg); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := e.Snapshot("s")
+	snap := st.Snapshot()
 	if snap.IngestErrors != 1 || snap.Ingested != 1 {
 		t.Fatalf("errors = %d ingested = %d, want 1 and 1", snap.IngestErrors, snap.Ingested)
 	}
@@ -290,13 +280,13 @@ func TestEngineIngestErrorsSurfaceInSnapshot(t *testing.T) {
 	// The error belongs to the interval that saw it: after a healthy
 	// interval the next publish clears it instead of reporting the stale
 	// error forever.
-	if err := e.PushBatch(bg, "s", []Event{{Coord: []int{0, 0}, Value: 1, Time: 1}}); err != nil {
+	if err := st.PushBatch(bg, []Event{{Coord: []int{0, 0}, Value: 1, Time: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Flush(bg, "s"); err != nil {
+	if err := st.Flush(bg); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ = e.Snapshot("s")
+	snap = st.Snapshot()
 	if snap.LastError != "" || snap.ErrorsSincePublish != 0 {
 		t.Fatalf("error state not aged out: lastError=%q errorsSincePublish=%d",
 			snap.LastError, snap.ErrorsSincePublish)
@@ -319,11 +309,11 @@ func TestEngineRejectedEventsDoNotCountTowardPublish(t *testing.T) {
 	defer e.Close()
 	cfg := validStreamConfig()
 	cfg.PublishEvery = 4
-	if _, err := e.AddStream("s", cfg); err != nil {
+	st, err := e.AddStream("s", cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := e.Snapshot("s")
-	basePub := base.Stats.Publishes
+	basePub := st.Snapshot().Stats.Publishes
 	// Three batches of all-rejected events: 12 events ≥ PublishEvery, yet
 	// no publish may fire.
 	for i := 0; i < 3; i++ {
@@ -333,12 +323,12 @@ func TestEngineRejectedEventsDoNotCountTowardPublish(t *testing.T) {
 			{Coord: []int{99, 0}, Value: 1, Time: 0},
 			{Coord: []int{99, 0}, Value: 1, Time: 0},
 		}
-		if err := e.PushBatch(bg, "s", bad); err != nil {
+		if err := st.PushBatch(bg, bad); err != nil {
 			t.Fatal(err)
 		}
 	}
-	drain(t, e, "s")
-	snap := mustSnap(t, e, "s")
+	drain(t, st)
+	snap := st.Snapshot()
 	if got := snap.Stats.Publishes; got != basePub {
 		t.Fatalf("all-error batches triggered %d publishes", got-basePub)
 	}
@@ -354,11 +344,11 @@ func TestEngineRejectedEventsDoNotCountTowardPublish(t *testing.T) {
 	// A clean batch too small to trigger a publish still clears the
 	// per-batch rejection count via the cheap error-state refresh — the
 	// stale 4 must not stick around until the next full publish.
-	if err := e.PushBatch(bg, "s", []Event{{Coord: []int{0, 0}, Value: 1, Time: 0}}); err != nil {
+	if err := st.PushBatch(bg, []Event{{Coord: []int{0, 0}, Value: 1, Time: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	drain(t, e, "s")
-	snap = mustSnap(t, e, "s")
+	drain(t, st)
+	snap = st.Snapshot()
 	if snap.Stats.Publishes != basePub {
 		t.Fatalf("small clean batch triggered a model publish")
 	}
@@ -370,27 +360,26 @@ func TestEngineRejectedEventsDoNotCountTowardPublish(t *testing.T) {
 	for i := range good {
 		good[i] = Event{Coord: []int{0, 0}, Value: 1, Time: int64(i)}
 	}
-	if err := e.PushBatch(bg, "s", good); err != nil {
+	if err := st.PushBatch(bg, good); err != nil {
 		t.Fatal(err)
 	}
-	drain(t, e, "s")
-	if got := mustSnap(t, e, "s").Stats.Publishes; got <= basePub {
+	drain(t, st)
+	if got := st.Snapshot().Stats.Publishes; got <= basePub {
 		t.Fatal("applied events did not trigger a publish")
 	}
 }
 
 // drain waits until the shard's queue is empty and the writer idle,
 // without forcing a publish the way Flush does.
-func drain(t *testing.T, e *Engine, name string) {
+func drain(t *testing.T, st *Stream) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		snap := mustSnap(t, e, name)
-		if snap.QueueDepth == 0 {
+		if st.Snapshot().QueueDepth == 0 {
 			// One control round-trip guarantees the in-flight batch (if
 			// any) finished before we read counters. Observed is the only
 			// control op that does not publish.
-			if _, err := e.Observed(bg, name, []int{0, 0}, 0); err != nil {
+			if _, err := st.Observed(bg, []int{0, 0}, 0); err != nil {
 				t.Fatal(err)
 			}
 			return
@@ -400,15 +389,6 @@ func drain(t *testing.T, e *Engine, name string) {
 	t.Fatal("queue never drained")
 }
 
-func mustSnap(t *testing.T, e *Engine, name string) Snapshot {
-	t.Helper()
-	snap, err := e.Snapshot(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
-}
-
 func TestEngineCheckpointRestore(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
@@ -416,15 +396,17 @@ func TestEngineCheckpointRestore(t *testing.T) {
 	cfgA.MailboxCapacity = 17
 	cfgA.Backpressure = BackpressureDropOldest
 	cfgA.PublishEvery = 33
-	if _, err := e.AddStream("a", cfgA); err != nil {
+	a, err := e.AddStream("a", cfgA)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.AddStream("b", validStreamConfig()); err != nil {
+	b, err := e.AddStream("b", validStreamConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	fillAndStart(t, e, "a", 5)
+	fillAndStart(t, a, 5)
 	// Stream b stays offline — restore must handle both phases.
-	if err := e.PushBatch(bg, "b", []Event{{Coord: []int{1, 1}, Value: 2, Time: 0}}); err != nil {
+	if err := b.PushBatch(bg, []Event{{Coord: []int{1, 1}, Value: 2, Time: 0}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -441,11 +423,16 @@ func TestEngineCheckpointRestore(t *testing.T) {
 	if streams := got.Streams(); len(streams) != 2 || streams[0] != "a" || streams[1] != "b" {
 		t.Fatalf("restored streams = %v", streams)
 	}
-	want, _ := e.Snapshot("a")
-	snap, err := got.Snapshot("a")
+	want := a.Snapshot()
+	gotA, err := got.Stream("a")
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotB, err := got.Stream("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := gotA.Snapshot()
 	if snap.Events != want.Events || snap.NNZ != want.NNZ || !snap.Started ||
 		snap.Now != want.Now || snap.Fitness != want.Fitness {
 		t.Fatalf("restored a = %+v, want %+v", snap, want)
@@ -453,17 +440,17 @@ func TestEngineCheckpointRestore(t *testing.T) {
 	if snap.QueueCap != 17 || snap.Backpressure != "drop-oldest" {
 		t.Fatalf("serving config not restored: cap=%d bp=%q", snap.QueueCap, snap.Backpressure)
 	}
-	if snapB, _ := got.Snapshot("b"); snapB.Started || snapB.NNZ != 1 {
+	if snapB := gotB.Snapshot(); snapB.Started || snapB.NNZ != 1 {
 		t.Fatalf("restored b = %+v", snapB)
 	}
 	// The restored engine is live: it accepts and applies new work.
-	if err := got.Push(bg, "a", []int{0, 0}, 1, want.Now); err != nil {
+	if err := gotA.Push(bg, []int{0, 0}, 1, want.Now); err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Flush(bg, "a"); err != nil {
+	if err := gotA.Flush(bg); err != nil {
 		t.Fatal(err)
 	}
-	if snap, _ = got.Snapshot("a"); snap.Events != want.Events+1 {
+	if snap = gotA.Snapshot(); snap.Events != want.Events+1 {
 		t.Fatalf("restored engine did not apply new event: %d", snap.Events)
 	}
 
@@ -484,7 +471,8 @@ func TestEngineCheckpointRestore(t *testing.T) {
 // TestEngineConcurrentShardsAndReaders is the engine-level race test: all
 // shards ingest batches in parallel while reader goroutines hammer the
 // wait-free snapshot and predict paths across every stream — half through
-// name-keyed calls, half through pinned Stream handles.
+// handles pinned up front, half through a fresh Engine.Stream lookup on
+// every iteration, so the registry's read path races the writers too.
 func TestEngineConcurrentShardsAndReaders(t *testing.T) {
 	const (
 		shards  = 4
@@ -504,12 +492,11 @@ func TestEngineConcurrentShardsAndReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		handles[i] = st
-		fillAndStart(t, e, names[i], int64(100+i))
+		fillAndStart(t, st, int64(100+i))
 	}
 	var baseline uint64
-	for _, n := range names {
-		snap, _ := e.Snapshot(n)
-		baseline += snap.Ingested
+	for _, st := range handles {
+		baseline += st.Snapshot().Ingested
 	}
 
 	var readers, producers sync.WaitGroup
@@ -526,19 +513,16 @@ func TestEngineConcurrentShardsAndReaders(t *testing.T) {
 				default:
 				}
 				for i, n := range names {
-					var snap Snapshot
-					if r%2 == 0 {
-						snap = handles[i].Snapshot()
-						_, _ = handles[i].Predict([]int{r % 5, r % 4}, 0)
-					} else {
+					st := handles[i]
+					if r%2 == 1 {
 						var err error
-						snap, err = e.Snapshot(n)
-						if err != nil {
+						if st, err = e.Stream(n); err != nil {
 							t.Error(err)
 							return
 						}
-						_, _ = e.Predict(n, []int{r % 5, r % 4}, 0)
 					}
+					snap := st.Snapshot()
+					_, _ = st.Predict([]int{r % 5, r % 4}, 0)
 					if snap.Started && snap.Factors == nil {
 						t.Error("started snapshot without factors")
 						return
@@ -549,12 +533,11 @@ func TestEngineConcurrentShardsAndReaders(t *testing.T) {
 		}(r)
 	}
 	// One producer per shard: per-stream order stays sequential while the
-	// shards ingest fully in parallel. Even shards push through the handle,
-	// odd shards through the name-keyed path — same pipeline underneath.
+	// shards ingest fully in parallel.
 	var pushed atomic.Uint64
-	for i, n := range names {
+	for i, st := range handles {
 		producers.Add(1)
-		go func(i int, name string, seed int64) {
+		go func(st *Stream, seed int64) {
 			defer producers.Done()
 			rng := rand.New(rand.NewSource(seed))
 			tm := int64(1000)
@@ -564,19 +547,13 @@ func TestEngineConcurrentShardsAndReaders(t *testing.T) {
 					tm += int64(rng.Intn(2))
 					batch[j] = Event{Coord: []int{rng.Intn(5), rng.Intn(4)}, Value: 1, Time: tm}
 				}
-				var err error
-				if i%2 == 0 {
-					err = handles[i].PushBatch(bg, batch)
-				} else {
-					err = e.PushBatch(bg, name, batch)
-				}
-				if err != nil {
+				if err := st.PushBatch(bg, batch); err != nil {
 					t.Error(err)
 					return
 				}
 				pushed.Add(batchSz)
 			}
-		}(i, n, int64(200+i))
+		}(st, int64(200+i))
 	}
 	producers.Wait()
 	close(stop)
@@ -586,10 +563,10 @@ func TestEngineConcurrentShardsAndReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total uint64
-	for _, n := range names {
-		snap, _ := e.Snapshot(n)
+	for _, st := range handles {
+		snap := st.Snapshot()
 		if snap.IngestErrors != 0 {
-			t.Fatalf("%s: %d ingest errors, last %q", n, snap.IngestErrors, snap.LastError)
+			t.Fatalf("%s: %d ingest errors, last %q", st.Name(), snap.IngestErrors, snap.LastError)
 		}
 		total += snap.Ingested
 	}
@@ -607,16 +584,17 @@ func BenchmarkEngineShards(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			e := NewEngine()
 			defer e.Close()
-			names := make([]string, shards)
-			for i := range names {
-				names[i] = fmt.Sprintf("s%d", i)
+			handles := make([]*Stream, shards)
+			for i := range handles {
 				cfg := validStreamConfig()
 				cfg.MailboxCapacity = 1024
 				cfg.PublishEvery = 4096
-				if _, err := e.AddStream(names[i], cfg); err != nil {
+				st, err := e.AddStream(fmt.Sprintf("s%d", i), cfg)
+				if err != nil {
 					b.Fatal(err)
 				}
-				fillAndStart(b, e, names[i], int64(i))
+				handles[i] = st
+				fillAndStart(b, st, int64(i))
 			}
 			const batchSz = 256
 			per := (b.N + shards - 1) / shards
@@ -642,17 +620,17 @@ func BenchmarkEngineShards(b *testing.B) {
 			}
 			b.ResetTimer()
 			var wg sync.WaitGroup
-			for i := range names {
+			for i, st := range handles {
 				wg.Add(1)
-				go func(name string, batches [][]Event) {
+				go func(st *Stream, batches [][]Event) {
 					defer wg.Done()
 					for _, batch := range batches {
-						if err := e.PushBatch(bg, name, batch); err != nil {
+						if err := st.PushBatch(bg, batch); err != nil {
 							b.Error(err)
 							return
 						}
 					}
-				}(names[i], all[i])
+				}(st, all[i])
 			}
 			wg.Wait()
 			if err := e.FlushAll(bg); err != nil {
@@ -660,9 +638,8 @@ func BenchmarkEngineShards(b *testing.B) {
 			}
 			b.StopTimer()
 			var total uint64
-			for _, n := range names {
-				snap, _ := e.Snapshot(n)
-				total += snap.Stats.Ingested
+			for _, st := range handles {
+				total += st.Snapshot().Stats.Ingested
 			}
 			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/sec")
 		})

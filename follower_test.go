@@ -76,13 +76,18 @@ func waitConverged(t *testing.T, f *Engine, stream string, target uint64) Snapsh
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		if snap, err := f.Snapshot(stream); err == nil &&
-			snap.Replication != nil && snap.Replication.State == "tailing" &&
-			snap.AppliedLSN == target && snap.Replication.LagLSNs == 0 {
-			return snap
+		// Look the stream up on every poll: a (re-)bootstrap installs a
+		// new shard under the same name.
+		var snap Snapshot
+		st, err := f.Stream(stream)
+		if err == nil {
+			snap = st.Snapshot()
+			if snap.Replication != nil && snap.Replication.State == "tailing" &&
+				snap.AppliedLSN == target && snap.Replication.LagLSNs == 0 {
+				return snap
+			}
 		}
 		if time.Now().After(deadline) {
-			snap, err := f.Snapshot(stream)
 			t.Fatalf("follower never converged to LSN %d: snap=%+v err=%v", target, snap.Replication, err)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -126,10 +131,7 @@ func TestFollowerConvergesBitIdentical(t *testing.T) {
 	if err := st.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	leaderSnap, err := leader.Snapshot("metricsA")
-	if err != nil {
-		t.Fatal(err)
-	}
+	leaderSnap := st.Snapshot()
 	if leaderSnap.AppliedLSN != uint64(len(ops)) {
 		t.Fatalf("leader applied %d of %d ops", leaderSnap.AppliedLSN, len(ops))
 	}
@@ -206,7 +208,7 @@ func TestFollowerKilledMidTailResumes(t *testing.T) {
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		if snap, err := follower.Snapshot("s"); err == nil && snap.AppliedLSN > uint64(third) {
+		if fst, err := follower.Stream("s"); err == nil && fst.Snapshot().AppliedLSN > uint64(third) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -220,10 +222,7 @@ func TestFollowerKilledMidTailResumes(t *testing.T) {
 	if err := st.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	leaderSnap, err := leader.Snapshot("s")
-	if err != nil {
-		t.Fatal(err)
-	}
+	leaderSnap := st.Snapshot()
 
 	follower2, err := Open(followerOptions(fdir, ts))
 	if err != nil {
@@ -302,10 +301,7 @@ func TestFollowerRebootstrapsAfterGap(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	leaderSnap, err := leader.Snapshot("s")
-	if err != nil {
-		t.Fatal(err)
-	}
+	leaderSnap := st.Snapshot()
 
 	follower2, err := Open(followerOptions(fdir, ts))
 	if err != nil {
@@ -344,10 +340,7 @@ func TestFollowerRejectsWrites(t *testing.T) {
 	if err := st.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	leaderSnap, err := leader.Snapshot("s")
-	if err != nil {
-		t.Fatal(err)
-	}
+	leaderSnap := st.Snapshot()
 
 	ts := leaderServer(t, leader)
 	follower, err := Open(followerOptions(t.TempDir(), ts))
@@ -364,18 +357,18 @@ func TestFollowerRejectsWrites(t *testing.T) {
 	if err := follower.RemoveStream("s"); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("RemoveStream on follower: %v, want ErrReadOnly", err)
 	}
-	if err := follower.Push(ctx, "s", []int{0, 0}, 1, 1e9); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Push on follower: %v, want ErrReadOnly", err)
-	}
-	if err := follower.Start(ctx, "s"); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Start on follower: %v, want ErrReadOnly", err)
-	}
-	if err := follower.AdvanceTo(ctx, "s", 1e9); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("AdvanceTo on follower: %v, want ErrReadOnly", err)
-	}
 	fst, err := follower.Stream("s")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := fst.Push(ctx, []int{0, 0}, 1, 1e9); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Push on follower: %v, want ErrReadOnly", err)
+	}
+	if err := fst.Start(ctx); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Start on follower: %v, want ErrReadOnly", err)
+	}
+	if err := fst.AdvanceTo(ctx, 1e9); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("AdvanceTo on follower: %v, want ErrReadOnly", err)
 	}
 	if err := fst.PushBatch(ctx, []Event{{Coord: []int{0, 0}, Value: 1, Time: 1e9}}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Stream.PushBatch on follower: %v, want ErrReadOnly", err)
@@ -416,10 +409,11 @@ func TestFollowerDropsDeletedStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	leaderSnap, err := leader.Snapshot("keep")
+	keep, err := leader.Stream("keep")
 	if err != nil {
 		t.Fatal(err)
 	}
+	leaderSnap := keep.Snapshot()
 
 	ts := leaderServer(t, leader)
 	follower, err := Open(followerOptions(t.TempDir(), ts))
@@ -435,7 +429,7 @@ func TestFollowerDropsDeletedStreams(t *testing.T) {
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		if _, err := follower.Snapshot("doomed"); errors.Is(err, ErrStreamNotFound) {
+		if _, err := follower.Stream("doomed"); errors.Is(err, ErrStreamNotFound) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -443,7 +437,7 @@ func TestFollowerDropsDeletedStreams(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := follower.Snapshot("keep"); err != nil {
+	if _, err := follower.Stream("keep"); err != nil {
 		t.Fatalf("surviving stream broken after reconcile: %v", err)
 	}
 }

@@ -4,9 +4,8 @@
 // (validation + window maintenance + SNS-Rnd+ factor update per event);
 // BenchmarkEnginePushBatch measures the same events flowing through the
 // multi-stream engine's mailbox and shard writer in batches.
-// BenchmarkStreamHandlePush vs BenchmarkEnginePushByName isolate the
-// client-side enqueue cost of the pinned *Stream handle against the
-// name-keyed lookup path. All must report 0 allocs/op under -benchmem;
+// BenchmarkStreamHandlePush isolates the client-side enqueue cost of the
+// *Stream handle. All must report 0 allocs/op under -benchmem;
 // CI gates on a >20% allocs/op regression versus the committed
 // BENCH_ingest.json baseline (see cmd/snsbench).
 package slicenstitch
@@ -61,13 +60,13 @@ func BenchmarkIngestHotPath(b *testing.B) {
 	}
 }
 
-// benchEngine builds a started single-stream engine plus a rotating pool
-// of pre-sized batches, shared by the engine-side ingest benchmarks. The
-// returned fill func writes the next batch into the pool slot j and
-// returns it; a slot is reused only long after the writer consumed it
-// (pool ≫ mailbox capacity). opts selects the engine construction, so the
-// durable benchmark reuses the exact same workload.
-func benchEngine(b *testing.B, batchSize, nBatches int, opts Options) (*Engine, *Stream, func(j int) []Event) {
+// benchEngine builds a started single-stream engine, returning its handle
+// plus a rotating pool of pre-sized batches, shared by the engine-side
+// ingest benchmarks. The returned fill func writes the next batch into
+// the pool slot j and returns it; a slot is reused only long after the
+// writer consumed it (pool ≫ mailbox capacity). opts selects the engine
+// construction, so the durable benchmark reuses the exact same workload.
+func benchEngine(b *testing.B, batchSize, nBatches int, opts Options) (*Stream, func(j int) []Event) {
 	b.Helper()
 	e, err := Open(opts)
 	if err != nil {
@@ -122,7 +121,7 @@ func benchEngine(b *testing.B, batchSize, nBatches int, opts Options) (*Engine, 
 	}
 	// Continue the rotating pool where the warm-up left off.
 	next := j
-	return e, st, func(int) []Event { n := next; next++; return fill(n) }
+	return st, func(int) []Event { n := next; next++; return fill(n) }
 }
 
 // BenchmarkEnginePushBatch: one op = one event ingested through the
@@ -131,17 +130,17 @@ func benchEngine(b *testing.B, batchSize, nBatches int, opts Options) (*Engine, 
 // ingest pipeline from the amortized snapshot/fitness cost.
 func BenchmarkEnginePushBatch(b *testing.B) {
 	const batchSize = 256
-	e, _, fill := benchEngine(b, batchSize, 128, Options{})
+	st, fill := benchEngine(b, batchSize, 128, Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	pushed := 0
 	for pushed < b.N {
-		if err := e.PushBatch(bg, "bench", fill(0)); err != nil {
+		if err := st.PushBatch(bg, fill(0)); err != nil {
 			b.Fatal(err)
 		}
 		pushed += batchSize
 	}
-	if err := e.Flush(bg, "bench"); err != nil {
+	if err := st.Flush(bg); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -156,7 +155,7 @@ func BenchmarkEnginePushBatch(b *testing.B) {
 // measurement isolates the append+commit path.
 func BenchmarkIngestDurable(b *testing.B) {
 	const batchSize = 256
-	e, _, fill := benchEngine(b, batchSize, 128, Options{Durability: &DurabilityOptions{
+	st, fill := benchEngine(b, batchSize, 128, Options{Durability: &DurabilityOptions{
 		Dir:             b.TempDir(),
 		Fsync:           FsyncInterval,
 		FsyncEvery:      100 * time.Millisecond,
@@ -166,12 +165,12 @@ func BenchmarkIngestDurable(b *testing.B) {
 	b.ResetTimer()
 	pushed := 0
 	for pushed < b.N {
-		if err := e.PushBatch(bg, "bench", fill(0)); err != nil {
+		if err := st.PushBatch(bg, fill(0)); err != nil {
 			b.Fatal(err)
 		}
 		pushed += batchSize
 	}
-	if err := e.Flush(bg, "bench"); err != nil {
+	if err := st.Flush(bg); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -179,10 +178,9 @@ func BenchmarkIngestDurable(b *testing.B) {
 // benchClientSide builds an engine whose stream sheds load (DropOldest,
 // single-event batches) so the caller never blocks on the shard writer:
 // what the benchmark times is purely the client-side submit path —
-// registry lookup (or not), message construction, mailbox put. That is
-// the cost the *Stream handle redesign targets, and it would be invisible
+// message construction and mailbox put. That cost would be invisible
 // behind the ~100µs/event factor update the writer performs.
-func benchClientSide(b *testing.B) (*Engine, *Stream, [][]Event) {
+func benchClientSide(b *testing.B) (*Stream, [][]Event) {
 	b.Helper()
 	e := NewEngine()
 	b.Cleanup(func() { e.Close() })
@@ -203,16 +201,13 @@ func benchClientSide(b *testing.B) (*Engine, *Stream, [][]Event) {
 	for j := range pool {
 		pool[j] = []Event{{Coord: coords[j%len(coords)], Value: 1, Time: 0}}
 	}
-	return e, st, pool
+	return st, pool
 }
 
 // BenchmarkStreamHandlePush: one op = one single-event PushBatch through
-// a pinned *Stream handle — zero per-call registry lookups. Compare
-// against BenchmarkEnginePushByName, which pays the read-locked map
-// lookup on every call; the delta is the lookup cost the handle
-// amortizes away.
+// a *Stream handle — zero per-call registry lookups.
 func BenchmarkStreamHandlePush(b *testing.B) {
-	_, st, pool := benchClientSide(b)
+	st, pool := benchClientSide(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -222,23 +217,6 @@ func BenchmarkStreamHandlePush(b *testing.B) {
 	}
 	b.StopTimer()
 	if err := st.Flush(bg); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkEnginePushByName: the same workload as
-// BenchmarkStreamHandlePush through the name-keyed convenience path.
-func BenchmarkEnginePushByName(b *testing.B) {
-	e, _, pool := benchClientSide(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		if err := e.PushBatch(bg, "bench", pool[n%len(pool)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := e.Flush(bg, "bench"); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -190,8 +190,10 @@ type FollowerInfo struct {
 	// Leader is the configured leader base URL.
 	Leader string `json:"leader"`
 	// Synced reports that the follower has completed at least one stream-
-	// set reconciliation against the leader — before that, local streams
-	// may be missing entirely.
+	// set reconciliation against the leader and that every stream found
+	// there has a local shard. Until then some of the leader's streams
+	// are missing locally — never fetched, or still waiting for their
+	// first bootstrap.
 	Synced bool `json:"synced"`
 }
 
@@ -253,11 +255,22 @@ func (f *followerState) stop() {
 	})
 }
 
-// isSynced reports whether at least one reconciliation has completed.
+// isSynced reports whether at least one reconciliation has completed and
+// every stream it registered a tailer for has a shard. reconcile starts
+// tailers before their bootstraps install the shards, so the flag alone
+// would report a replica with no streams as synced.
 func (f *followerState) isSynced() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.syncedFlag
+	if !f.syncedFlag {
+		return false
+	}
+	for name := range f.tailers {
+		if _, err := f.eng.shard(name); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 func (f *followerState) setSynced() {
@@ -365,17 +378,6 @@ func (f *followerState) stopTailer(name string) {
 		st.cancel()
 		<-st.done
 	}
-}
-
-// replStats returns the named stream's tailer stats (nil when no tailer
-// is running yet).
-func (f *followerState) replStats(name string) *metrics.ReplStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if st, ok := f.tailers[name]; ok {
-		return st.stats
-	}
-	return nil
 }
 
 // bootstrapStream replaces all local state for the stream with a leader

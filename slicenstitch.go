@@ -421,7 +421,7 @@ func (t *Tracker) NNZ() int { return t.win.X().NNZ() }
 
 // checkIndex validates categorical coordinates and a time-mode index
 // against mode sizes dims and window length w. Shared by every predict
-// path (Tracker, SafeTracker, Engine).
+// path (Tracker, Snapshot, Stream).
 func checkIndex(dims []int, w int, coord []int, timeIdx int) error {
 	if len(coord) != len(dims) {
 		return &CoordError{Mode: -1, Got: len(coord), Limit: len(dims)}
@@ -437,8 +437,7 @@ func checkIndex(dims []int, w int, coord []int, timeIdx int) error {
 	return nil
 }
 
-// checkIndex validates against the tracker's configuration. It reads only
-// immutable config, so it is safe without synchronization.
+// checkIndex validates against the tracker's configuration.
 func (t *Tracker) checkIndex(coord []int, timeIdx int) error {
 	return checkIndex(t.cfg.Dims, t.cfg.W, coord, timeIdx)
 }

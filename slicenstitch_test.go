@@ -3,6 +3,7 @@ package slicenstitch
 import (
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func validConfig() Config {
@@ -229,5 +230,33 @@ func TestZeroValuePushIgnored(t *testing.T) {
 	}
 	if tr.Events() != before {
 		t.Error("zero-value tuple should not trigger an update")
+	}
+}
+
+func TestLatencyBudgetWiresAutoTheta(t *testing.T) {
+	cfg := validConfig()
+	cfg.Algorithm = SNSRndPlus
+	cfg.LatencyBudget = time.Millisecond
+	tr, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := fill(t, tr, 50, 9)
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.AlgorithmName(); got != "SNS-Rnd+ (auto-θ)" {
+		t.Fatalf("AlgorithmName = %q", got)
+	}
+	rng := rand.New(rand.NewSource(10))
+	tm := last
+	for i := 0; i < 50; i++ {
+		tm += int64(rng.Intn(2))
+		if err := tr.Push([]int{rng.Intn(5), rng.Intn(4)}, 1, tm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Events() == 0 {
+		t.Fatal("no updates")
 	}
 }

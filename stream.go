@@ -9,15 +9,16 @@ import (
 	"slicenstitch/internal/engine"
 )
 
-// Stream is a handle to one engine stream. It pins the stream's shard at
+// Stream is a handle to one engine stream and the only client surface for
+// its ingestion, control and reads. It pins the stream's shard at
 // construction (AddStream / Engine.Stream), so every method goes straight
 // to the shard's mailbox or published snapshot with zero registry
-// lookups — the per-call mutex-guarded map access of the name-keyed
-// Engine methods is paid once, when the handle is made. Handles are cheap
-// value wrappers; hold one per stream for the lifetime of your use.
+// lookups — the mutex-guarded map access is paid once, when the handle
+// is made. Handles are cheap value wrappers; hold one per stream for the
+// lifetime of your use.
 //
 // Concurrency: a Stream is safe for concurrent use by any number of
-// goroutines, exactly like the Engine methods it replaces.
+// goroutines, and any number of handles may pin the same stream.
 //
 // Lifetime and revocation: a handle is never invalidated in place. After
 // RemoveStream (or engine Shutdown) the shard's mailbox is closed, so

@@ -58,13 +58,13 @@ func TestStreamHandleLifecycle(t *testing.T) {
 		t.Fatalf("Observed = (%v, %v), want >= 5", v, err)
 	}
 
-	// The handle view and the name-keyed view are the same shard.
-	byName, err := e.Snapshot("s")
+	// A second handle from the registry pins the same shard.
+	again, err := e.Stream("s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if byName.Events != snap.Events || byName.Now != snap.Now {
-		t.Fatalf("handle and name-keyed snapshots disagree: %+v vs %+v", snap, byName)
+	if byName := again.Snapshot(); byName.Events != snap.Events || byName.Now != snap.Now {
+		t.Fatalf("handles to one stream disagree: %+v vs %+v", snap, byName)
 	}
 
 	// Single-stream checkpoint through the handle round-trips.
