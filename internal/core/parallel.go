@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"slicenstitch/internal/mat"
+	"slicenstitch/internal/tensor"
 	"slicenstitch/internal/window"
 )
 
@@ -47,6 +48,21 @@ type rowWS struct {
 	huBuf     *mat.Dense
 	solver    *mat.SymSolver
 	sampleBuf []uint64
+	valBuf    []float64
+}
+
+// sampleVals looks up the values of the sampled cells in one pass, ahead
+// of the residual loop that consumes them in the same order: the probes
+// are independent, so their memory accesses overlap instead of each one
+// waiting behind the previous cell's prediction. The buffer grows to θ
+// once and is reused after.
+func (ws *rowWS) sampleVals(x *tensor.Sparse, sample []uint64) []float64 {
+	vals := ws.valBuf[:0]
+	for _, key := range sample {
+		vals = append(vals, x.AtKey(key))
+	}
+	ws.valBuf = vals
+	return vals
 }
 
 func newRowWS(order, rank int) rowWS {

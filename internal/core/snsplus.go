@@ -327,9 +327,10 @@ func (s *SNSRndPlus) solveRow(m, i int, ch window.Change, p []float64, sample []
 		// H_u = ∗_{n≠m} U⁽ⁿ⁾ for the e-term.
 		hud = cpd.GramsExceptInto(ws.huBuf, s.prevGrams, m).Data()
 		data = s.deltaTerm(ch, m, i, ws.dataBuf, ws.krBuf)
-		for _, key := range sample {
+		vals := ws.sampleVals(x, sample)
+		for j, key := range sample {
 			coord := x.Coord(key, ws.coordBuf)
-			resid := x.AtKey(key) - s.predictPrev(&s.base, coord, ws.rowsBuf)
+			resid := vals[j] - s.predictPrev(&s.base, coord, ws.rowsBuf)
 			s.krAxpy(data, resid, coord, m, ws.krBuf)
 		}
 	}

@@ -353,9 +353,10 @@ func (s *SNSRnd) solveRow(m, i int, ch window.Change, p []float64, sample []uint
 		// A⁽ᵐ⁾(i,:) ← A⁽ᵐ⁾(i,:) H_prev H† + (X̄+ΔX)_(m)(i,:) K⁽ᵐ⁾ H†.
 		hPrev := cpd.GramsExceptInto(ws.huBuf, s.prevGrams, m)
 		u := mat.VecMulInto(ws.dataBuf, p, hPrev)
-		for _, key := range sample {
+		vals := ws.sampleVals(x, sample)
+		for j, key := range sample {
 			coord := x.Coord(key, ws.coordBuf)
-			resid := x.AtKey(key) - s.predictPrev(&s.base, coord, ws.rowsBuf)
+			resid := vals[j] - s.predictPrev(&s.base, coord, ws.rowsBuf)
 			s.krAxpy(u, resid, coord, m, ws.krBuf)
 		}
 		dt := s.deltaTerm(ch, m, i, ws.rowBuf, ws.krBuf)

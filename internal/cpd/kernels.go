@@ -94,6 +94,17 @@ func otherModes3(mode int) (int, int) {
 	}
 }
 
+// fiber3 decodes the two non-mode indices (ascending mode order) of a key
+// in the order-3 fiber whose own index contributes base = idx·Stride(mode)
+// to every key. Subtracting base leaves ia·sa + ib·sb with ib·sb < sa (the
+// encoding is row-major), so two divisions recover both indices where
+// k/Stride mod Dim would take four.
+func fiber3(key, base, sa, sb uint64) (ia, ib int) {
+	r := key - base
+	qa := r / sa
+	return int(qa), int((r - qa*sa) / sb)
+}
+
 // mttkrpRow3Any is the order-3 MTTKRP row with runtime rank: the generic
 // reference fused into a single pass per nonzero (t = (v·a_k)·b_k matches
 // the scratch-buffer chain of MTTKRPRowInto exactly) and iterated over
@@ -105,14 +116,15 @@ func mttkrpRow3Any(x *tensor.Sparse, factors []*mat.Dense, mode, idx int, dst, _
 	ma, mb := otherModes3(mode)
 	fa, fb := factors[ma], factors[mb]
 	sa, sb := x.Stride(ma), x.Stride(mb)
-	da, db := uint64(x.Dim(ma)), uint64(x.Dim(mb))
+	base := uint64(idx) * x.Stride(mode)
 	for _, key := range x.SliceSpan(mode, idx) {
 		if key == tensor.Tombstone {
 			continue
 		}
 		v := x.AtKey(key)
-		ra := fa.Row(int(key / sa % da))[:len(dst)]
-		rb := fb.Row(int(key / sb % db))[:len(dst)]
+		ia, ib := fiber3(key, base, sa, sb)
+		ra := fa.Row(ia)[:len(dst)]
+		rb := fb.Row(ib)[:len(dst)]
 		for k := range dst {
 			t := v * ra[k]
 			t *= rb[k]

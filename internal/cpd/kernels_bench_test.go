@@ -110,3 +110,29 @@ func BenchmarkPredict3R8(b *testing.B) {
 
 // sink defeats dead-code elimination of pure benchmark bodies.
 var sink float64
+
+// BenchmarkFitness: one publish-time fitness evaluation on a paper-shaped
+// window — NewYorkTaxi's 265×265 zones over W=10 periods, about 250k
+// nonzeros, R=20 (the setting of the paper's Table III). The whole-tensor
+// inner product dominates; ns/nnz is the per-nonzero scan cost.
+func BenchmarkFitness(b *testing.B) {
+	dims := []int{265, 265, 10}
+	x := tensor.NewSparse(dims)
+	rng := rand.New(rand.NewSource(1))
+	for x.NNZ() < 250000 {
+		x.Set([]int{rng.Intn(265), rng.Intn(265), rng.Intn(10)}, rng.Float64()+0.5)
+	}
+	m := NewModel(dims, 20)
+	for _, f := range m.Factors {
+		d := f.Data()
+		for i := range d {
+			d[i] = rng.Float64() + 0.5
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = Fitness(x, m)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(x.NNZ()), "ns/nnz")
+}

@@ -29,14 +29,15 @@ func mttkrpRow3R8(x *tensor.Sparse, factors []*mat.Dense, mode, idx int, dst, _ 
 	ma, mb := otherModes3(mode)
 	fa, fb := factors[ma], factors[mb]
 	sa, sb := x.Stride(ma), x.Stride(mb)
-	da, db := uint64(x.Dim(ma)), uint64(x.Dim(mb))
+	base := uint64(idx) * x.Stride(mode)
 	for _, key := range x.SliceSpan(mode, idx) {
 		if key == tensor.Tombstone {
 			continue
 		}
 		v := x.AtKey(key)
-		a := (*[8]float64)(fa.Row(int(key / sa % da)))
-		b := (*[8]float64)(fb.Row(int(key / sb % db)))
+		ia, ib := fiber3(key, base, sa, sb)
+		a := (*[8]float64)(fa.Row(ia))
+		b := (*[8]float64)(fb.Row(ib))
 		for k := range d {
 			t := v * a[k]
 			t *= b[k]
@@ -77,14 +78,15 @@ func mttkrpRow3R10(x *tensor.Sparse, factors []*mat.Dense, mode, idx int, dst, _
 	ma, mb := otherModes3(mode)
 	fa, fb := factors[ma], factors[mb]
 	sa, sb := x.Stride(ma), x.Stride(mb)
-	da, db := uint64(x.Dim(ma)), uint64(x.Dim(mb))
+	base := uint64(idx) * x.Stride(mode)
 	for _, key := range x.SliceSpan(mode, idx) {
 		if key == tensor.Tombstone {
 			continue
 		}
 		v := x.AtKey(key)
-		a := (*[10]float64)(fa.Row(int(key / sa % da)))
-		b := (*[10]float64)(fb.Row(int(key / sb % db)))
+		ia, ib := fiber3(key, base, sa, sb)
+		a := (*[10]float64)(fa.Row(ia))
+		b := (*[10]float64)(fb.Row(ib))
 		for k := range d {
 			t := v * a[k]
 			t *= b[k]
@@ -125,14 +127,15 @@ func mttkrpRow3R16(x *tensor.Sparse, factors []*mat.Dense, mode, idx int, dst, _
 	ma, mb := otherModes3(mode)
 	fa, fb := factors[ma], factors[mb]
 	sa, sb := x.Stride(ma), x.Stride(mb)
-	da, db := uint64(x.Dim(ma)), uint64(x.Dim(mb))
+	base := uint64(idx) * x.Stride(mode)
 	for _, key := range x.SliceSpan(mode, idx) {
 		if key == tensor.Tombstone {
 			continue
 		}
 		v := x.AtKey(key)
-		a := (*[16]float64)(fa.Row(int(key / sa % da)))
-		b := (*[16]float64)(fb.Row(int(key / sb % db)))
+		ia, ib := fiber3(key, base, sa, sb)
+		a := (*[16]float64)(fa.Row(ia))
+		b := (*[16]float64)(fb.Row(ib))
 		for k := range d {
 			t := v * a[k]
 			t *= b[k]
@@ -173,14 +176,15 @@ func mttkrpRow3R20(x *tensor.Sparse, factors []*mat.Dense, mode, idx int, dst, _
 	ma, mb := otherModes3(mode)
 	fa, fb := factors[ma], factors[mb]
 	sa, sb := x.Stride(ma), x.Stride(mb)
-	da, db := uint64(x.Dim(ma)), uint64(x.Dim(mb))
+	base := uint64(idx) * x.Stride(mode)
 	for _, key := range x.SliceSpan(mode, idx) {
 		if key == tensor.Tombstone {
 			continue
 		}
 		v := x.AtKey(key)
-		a := (*[20]float64)(fa.Row(int(key / sa % da)))
-		b := (*[20]float64)(fb.Row(int(key / sb % db)))
+		ia, ib := fiber3(key, base, sa, sb)
+		a := (*[20]float64)(fa.Row(ia))
+		b := (*[20]float64)(fb.Row(ib))
 		for k := range d {
 			t := v * a[k]
 			t *= b[k]

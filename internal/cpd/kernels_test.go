@@ -117,6 +117,107 @@ func TestKernelsBitIdentical(t *testing.T) {
 	}
 }
 
+// churnedTensor returns an adversarial tensor (as kernelTestSetup's) that
+// has been churned: some entries were deleted so the registry holds
+// tombstones, and — when compacted is set — enough were deleted to force
+// an order-preserving compaction before new entries were added and a few
+// more deleted.
+func churnedTensor(t *testing.T, dims []int, rng *rand.Rand, compacted bool) *tensor.Sparse {
+	t.Helper()
+	x := tensor.NewSparse(dims)
+	coord := make([]int, len(dims))
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			for m, d := range dims {
+				coord[m] = rng.Intn(d)
+			}
+			mag := math.Pow(10, float64(rng.Intn(34))-30)
+			x.Set(coord, (rng.Float64()*2-1)*mag)
+		}
+	}
+	// deleteLive zeroes live entries, each time the one a third of the way
+	// through the iteration order, until n are gone or the backing span
+	// shrinks (a compaction).
+	deleteLive := func(n int, untilCompaction bool) {
+		for ; n > 0; n-- {
+			var live []uint64
+			x.ForEachKey(func(k uint64, _ float64) { live = append(live, k) })
+			keys, _ := x.Entries()
+			span := len(keys)
+			x.SetKey(live[len(live)/3], 0)
+			if keys, _ = x.Entries(); untilCompaction && len(keys) < span {
+				return
+			}
+		}
+	}
+	fill(150)
+	if compacted {
+		deleteLive(x.NNZ(), true)
+		fill(60)
+	}
+	deleteLive(x.NNZ()/5, false)
+	if keys, _ := x.Entries(); len(keys) == x.NNZ() {
+		t.Fatal("churned tensor holds no tombstones")
+	}
+	return x
+}
+
+// TestScansBitIdentical holds the whole-tensor scans (scan.go) to their
+// per-nonzero references bit for bit: InnerProduct against v·Predict
+// summed in ForEachKey order, and every row of MTTKRPInto against
+// MTTKRPRowInto — at order 3 for the ranks ForShape distinguishes in the
+// row kernels (7 and the stamped 8, 10, 16, 20) plus order 4, with λ ≠ 1,
+// on tensors holding tombstones before and after a compaction.
+func TestScansBitIdentical(t *testing.T) {
+	shapes := []struct {
+		dims []int
+		r    int
+	}{
+		{[]int{13, 9, 5}, 7}, {[]int{13, 9, 5}, 8}, {[]int{13, 9, 5}, 10},
+		{[]int{13, 9, 5}, 16}, {[]int{13, 9, 5}, 20}, {[]int{7, 5, 4, 3}, 8},
+	}
+	for _, sh := range shapes {
+		for _, compacted := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(300 + sh.r + len(sh.dims))))
+			x := churnedTensor(t, sh.dims, rng, compacted)
+			m := NewModel(sh.dims, sh.r)
+			for k := range m.Lambda {
+				m.Lambda[k] = rng.NormFloat64() * 3
+			}
+			for _, f := range m.Factors {
+				d := f.Data()
+				for i := range d {
+					d[i] = rng.NormFloat64()
+				}
+			}
+
+			want := 0.0
+			coord := make([]int, len(sh.dims))
+			x.ForEachKey(func(k uint64, v float64) {
+				want += v * m.Predict(x.Coord(k, coord))
+			})
+			if got := m.InnerProduct(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("dims %v R=%d compacted=%v: InnerProduct %g != %g", sh.dims, sh.r, compacted, got, want)
+			}
+
+			row := make([]float64, sh.r)
+			scratch := make([]float64, sh.r)
+			for mode, d := range sh.dims {
+				u := MTTKRPInto(mat.New(d, sh.r), x, m.Factors, mode, make([]float64, sh.r))
+				for i := 0; i < d; i++ {
+					MTTKRPRowInto(x, m.Factors, mode, i, row, scratch)
+					for k, w := range row {
+						if g := u.Row(i)[k]; math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("dims %v R=%d compacted=%v: MTTKRPInto mode=%d row=%d k=%d: %g != %g",
+								sh.dims, sh.r, compacted, mode, i, k, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestForShapeFallbacks: non-order-3 shapes get the any-order reference
 // and nil fused kernels.
 func TestForShapeFallbacks(t *testing.T) {

@@ -136,8 +136,13 @@ func (m *Model) NormSquared() float64 {
 	return s
 }
 
-// InnerProduct returns ⟨X, X̃⟩ summed over the nonzeros of X.
+// InnerProduct returns ⟨X, X̃⟩ summed over the nonzeros of X in the
+// tensor's iteration order, each term v·Predict(J). Order-3 models run the
+// span scan of scan.go, bit-identical to the generic loop below.
 func (m *Model) InnerProduct(x *tensor.Sparse) float64 {
+	if m.Order() == 3 {
+		return innerProduct3(x, m)
+	}
 	s := 0.0
 	x.ForEachNonzero(func(coord []int, v float64) {
 		s += v * m.Predict(coord)

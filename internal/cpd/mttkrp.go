@@ -22,9 +22,14 @@ func MTTKRP(x *tensor.Sparse, factors []*mat.Dense, mode int) *mat.Dense {
 // MTTKRPInto is MTTKRP into a preallocated dst (zeroed here) with an
 // R-length scratch for the per-nonzero Khatri-Rao row — the
 // allocation-free form for callers that recompute whole-mode MTTKRPs
-// repeatedly (ALS sweeps, the streaming baselines).
+// repeatedly (ALS sweeps, the streaming baselines). Order-3 tensors run
+// the span scan of scan.go, bit-identical to the generic loop below.
 func MTTKRPInto(dst *mat.Dense, x *tensor.Sparse, factors []*mat.Dense, mode int, scratch []float64) *mat.Dense {
 	dst.Zero()
+	if len(factors) == 3 {
+		mttkrp3(dst, x, factors, mode)
+		return dst
+	}
 	x.ForEachNonzero(func(coord []int, v float64) {
 		for k := range scratch {
 			scratch[k] = v

@@ -1,16 +1,9 @@
 package tensor
 
-// Rand is the randomness the samplers need. internal/rng.RNG satisfies it
-// (and is what state-bearing callers must use, since its state serializes
-// into checkpoints); math/rand.Rand also satisfies it for tests.
-type Rand interface {
-	Intn(n int) int
-}
-
 // keySet is a set of encoded coordinates supporting O(1) insert, O(1)
-// amortized delete, O(1) expected uniform sampling, and — crucially —
-// order-preserving iteration: keys are visited in insertion order, with
-// deletions leaving the relative order of the survivors untouched.
+// amortized delete and — crucially — order-preserving iteration: keys are
+// visited in insertion order, with deletions leaving the relative order of
+// the survivors untouched.
 //
 // Order preservation is a durability requirement, not a nicety. Checkpoints
 // serialize the tensor in iteration order and restore re-inserts in that
@@ -25,8 +18,14 @@ type Rand interface {
 // preserves order) reclaims slots once half the backing array is dead,
 // keeping every operation O(1) amortized and allocation-free in steady
 // state.
+//
+// The whole-tensor registry also carries each key's value in vals, the
+// slot beside it in keys, so whole-tensor scans read (key, value) pairs
+// sequentially instead of probing a hash map per nonzero. The per-fiber
+// registries hold keys only and leave vals nil.
 type keySet struct {
 	keys []uint64 // insertion order; dead slots hold tombstone
+	vals []float64
 	pos  map[uint64]int
 	dead int
 }
@@ -52,15 +51,26 @@ func (s *keySet) Add(k uint64) {
 	s.keys = append(s.keys, k)
 }
 
-// Remove deletes k if present, tombstoning its slot so the surviving
-// iteration order is unchanged. When half the slots are dead a compaction
-// sweep (order-preserving, in place) reclaims them, so the amortized cost
-// stays O(1) and iteration overhead is bounded at 2×.
+// insert appends k, known to be absent, with value v. Value-carrying sets
+// only.
+func (s *keySet) insert(k uint64, v float64) {
+	s.pos[k] = len(s.keys)
+	s.keys = append(s.keys, k)
+	s.vals = append(s.vals, v)
+}
+
+// Remove deletes k if present.
 func (s *keySet) Remove(k uint64) {
-	i, ok := s.pos[k]
-	if !ok {
-		return
+	if i, ok := s.pos[k]; ok {
+		s.removeAt(k, i)
 	}
+}
+
+// removeAt deletes k, stored in slot i, tombstoning the slot so the
+// surviving iteration order is unchanged. When half the slots are dead a
+// compaction sweep (order-preserving, in place) reclaims them, so the
+// amortized cost stays O(1) and iteration overhead is bounded at 2×.
+func (s *keySet) removeAt(k uint64, i int) {
 	s.keys[i] = tombstone
 	delete(s.pos, k)
 	s.dead++
@@ -69,24 +79,25 @@ func (s *keySet) Remove(k uint64) {
 	}
 }
 
-// compact squeezes tombstones out in place, preserving order.
+// compact squeezes tombstones out in place, preserving order and moving
+// each value with its key.
 func (s *keySet) compact() {
 	live := s.keys[:0]
-	for _, k := range s.keys {
+	for j, k := range s.keys {
 		if k == tombstone {
 			continue
+		}
+		if s.vals != nil {
+			s.vals[len(live)] = s.vals[j]
 		}
 		s.pos[k] = len(live)
 		live = append(live, k)
 	}
 	s.keys = live
+	if s.vals != nil {
+		s.vals = s.vals[:len(live)]
+	}
 	s.dead = 0
-}
-
-// Contains reports membership.
-func (s *keySet) Contains(k uint64) bool {
-	_, ok := s.pos[k]
-	return ok
 }
 
 // ForEach calls fn for every key in insertion order. fn must not mutate
@@ -98,72 +109,4 @@ func (s *keySet) ForEach(fn func(k uint64)) {
 		}
 		fn(k)
 	}
-}
-
-// Sample appends up to n distinct keys drawn uniformly without replacement
-// to dst, skipping keys for which skip returns true (skip may be nil). When
-// the set (minus skipped keys) has at most n elements it returns all of
-// them. The expected cost is O(n) when n is at most about half the set
-// size — the regime the paper's guidance θ < deg/2 puts us in — and O(Len)
-// otherwise.
-func (s *keySet) Sample(dst []uint64, n int, rng Rand, skip func(uint64) bool) []uint64 {
-	total := s.Len()
-	if n <= 0 || total == 0 {
-		return dst
-	}
-	if n >= total {
-		for _, k := range s.keys {
-			if k == tombstone || (skip != nil && skip(k)) {
-				continue
-			}
-			dst = append(dst, k)
-		}
-		return dst
-	}
-	if 2*n <= total {
-		// Rejection sampling over the backing array: at most half the
-		// slots are tombstones (compaction invariant), so the expected
-		// draw count stays O(n).
-		seen := make(map[uint64]struct{}, n)
-		attempts := 0
-		maxAttempts := 40*n + 128
-		for len(seen) < n && attempts < maxAttempts {
-			attempts++
-			k := s.keys[rng.Intn(len(s.keys))]
-			if k == tombstone {
-				continue
-			}
-			if skip != nil && skip(k) {
-				continue
-			}
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			dst = append(dst, k)
-		}
-		if len(seen) == n {
-			return dst
-		}
-		// Pathological skip sets: fall through to partial shuffle below.
-		dst = dst[:len(dst)-len(seen)]
-	}
-	// Partial Fisher-Yates over a copy of the live keys.
-	cp := make([]uint64, 0, total)
-	for _, k := range s.keys {
-		if k != tombstone {
-			cp = append(cp, k)
-		}
-	}
-	picked := 0
-	for i := 0; i < len(cp) && picked < n; i++ {
-		j := i + rng.Intn(len(cp)-i)
-		cp[i], cp[j] = cp[j], cp[i]
-		if skip != nil && skip(cp[i]) {
-			continue
-		}
-		dst = append(dst, cp[i])
-		picked++
-	}
-	return dst
 }

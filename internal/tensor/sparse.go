@@ -1,12 +1,23 @@
 // Package tensor implements the sparse tensor substrate of the SliceNStitch
-// reproduction: a hash-based coordinate-format (COO) tensor with
-// per-(mode,index) nonzero registries.
+// reproduction: a coordinate-format (COO) tensor with per-(mode,index)
+// nonzero registries.
+//
+// Layout: every nonzero is a packed uint64 key (Σ_m i_m·Stride(m)). The
+// whole-tensor registry keeps the keys in insertion order in one slice
+// and each value in a parallel slice beside its key, with a hash index
+// from key to slot for point lookups. Deletions tombstone their slot and
+// an order-preserving compaction reclaims dead slots, so whole-tensor
+// scans (Entries, ForEachKey, ForEachNonzero — and through them fitness
+// and MTTKRP) walk two flat arrays without a hash probe per nonzero. Each
+// (mode,index) fiber registry holds the keys of that slice in the same
+// relative order; its values are read through the point lookup.
 //
 // The registries are what give the paper's algorithms their complexity
 // guarantees: deg(m,i_m) — the number of nonzeros whose m-th mode index is
-// i_m (Theorem 4) — is an O(1) lookup, iterating a matricized row
-// X_(m)(i_m,:) costs O(deg), and SNS_RND's uniform sampling of θ nonzeros
-// from a row (Algorithm 4, line 12) costs expected O(θ).
+// i_m (Theorem 4) — is an O(1) lookup, and iterating a matricized row
+// X_(m)(i_m,:) costs O(deg). SNS_RND's θ-sampling (Algorithm 4, line 12)
+// draws cells of the dense slice, zeros included, so it lives in
+// internal/core and needs only Key and point lookups from here.
 package tensor
 
 import (
@@ -25,13 +36,13 @@ const zeroEps = 1e-12
 type Sparse struct {
 	shape   []int
 	strides []uint64
-	vals    map[uint64]float64
 	// fibers[m][i] holds the keys of nonzeros whose mode-m index is i.
 	// Registries are allocated lazily per index.
 	fibers []map[int]*keySet
-	// all holds every nonzero key in deterministic (insertion/swap) order,
-	// so that whole-tensor iteration — and therefore every accumulation in
-	// MTTKRP and fitness — is reproducible for a fixed operation sequence.
+	// all holds every nonzero key and, beside it, its value, in
+	// deterministic insertion order, so that whole-tensor iteration — and
+	// therefore every accumulation in MTTKRP and fitness — is reproducible
+	// for a fixed operation sequence.
 	all    *keySet
 	normSq float64 // maintained Σ x_J², see NormSquared.
 	// coordScratch backs the coord slice handed to ForEach* callbacks,
@@ -68,7 +79,6 @@ func NewSparse(shape []int) *Sparse {
 	return &Sparse{
 		shape:        sh,
 		strides:      strides,
-		vals:         make(map[uint64]float64),
 		fibers:       fibers,
 		all:          newKeySet(),
 		coordScratch: make([]int, len(sh)),
@@ -89,7 +99,7 @@ func (t *Sparse) Shape() []int {
 func (t *Sparse) Dim(m int) int { return t.shape[m] }
 
 // NNZ returns the number of stored nonzeros |X|.
-func (t *Sparse) NNZ() int { return len(t.vals) }
+func (t *Sparse) NNZ() int { return t.all.Len() }
 
 // Size returns the total number of cells Π N_m.
 func (t *Sparse) Size() uint64 {
@@ -130,30 +140,23 @@ func (t *Sparse) Coord(k uint64, dst []int) []int {
 }
 
 // At returns the entry at coord (0 when not stored).
-func (t *Sparse) At(coord []int) float64 { return t.vals[t.Key(coord)] }
+func (t *Sparse) At(coord []int) float64 { return t.AtKey(t.Key(coord)) }
 
 // AtKey returns the entry for an encoded key (0 when not stored).
-func (t *Sparse) AtKey(k uint64) float64 { return t.vals[k] }
+func (t *Sparse) AtKey(k uint64) float64 {
+	if i, ok := t.all.pos[k]; ok {
+		return t.all.vals[i]
+	}
+	return 0
+}
 
 // Set assigns the entry at coord, evicting it when v is (near) zero.
 func (t *Sparse) Set(coord []int, v float64) { t.SetKey(t.Key(coord), v) }
 
 // SetKey assigns the entry for an encoded key.
 func (t *Sparse) SetKey(k uint64, v float64) {
-	old, existed := t.vals[k]
-	if math.Abs(v) < zeroEps {
-		if existed {
-			t.normSq -= old * old
-			delete(t.vals, k)
-			t.unregister(k)
-		}
-		return
-	}
-	t.normSq += v*v - old*old
-	t.vals[k] = v
-	if !existed {
-		t.register(k)
-	}
+	i, existed := t.all.pos[k]
+	t.setAt(k, i, existed, v)
 }
 
 // Add adds v to the entry at coord and returns the new value.
@@ -161,14 +164,45 @@ func (t *Sparse) SetKey(k uint64, v float64) {
 //sns:hotpath
 func (t *Sparse) Add(coord []int, v float64) float64 {
 	k := t.Key(coord)
-	nv := t.vals[k] + v
-	t.SetKey(k, nv)
+	i, existed := t.all.pos[k]
+	nv := 0.0
+	if existed {
+		nv = t.all.vals[i]
+	}
+	nv += v
+	t.setAt(k, i, existed, nv)
 	return nv
 }
 
+// setAt assigns v to key k, whose registry slot i (valid when existed) the
+// caller has already looked up, so an update of a stored entry costs one
+// index probe in all.
+//
 //sns:hotpath
-func (t *Sparse) register(k uint64) {
-	t.all.Add(k)
+func (t *Sparse) setAt(k uint64, i int, existed bool, v float64) {
+	old := 0.0
+	if existed {
+		old = t.all.vals[i]
+	}
+	if math.Abs(v) < zeroEps {
+		if existed {
+			t.normSq -= old * old
+			t.all.removeAt(k, i)
+			t.unregisterFibers(k)
+		}
+		return
+	}
+	t.normSq += v*v - old*old
+	if existed {
+		t.all.vals[i] = v
+		return
+	}
+	t.all.insert(k, v)
+	t.registerFibers(k)
+}
+
+//sns:hotpath
+func (t *Sparse) registerFibers(k uint64) {
 	for m := range t.shape {
 		i := int(k / t.strides[m] % uint64(t.shape[m]))
 		s := t.fibers[m][i]
@@ -182,8 +216,7 @@ func (t *Sparse) register(k uint64) {
 }
 
 //sns:hotpath
-func (t *Sparse) unregister(k uint64) {
-	t.all.Remove(k)
+func (t *Sparse) unregisterFibers(k uint64) {
 	for m := range t.shape {
 		i := int(k / t.strides[m] % uint64(t.shape[m]))
 		if s := t.fibers[m][i]; s != nil {
@@ -212,7 +245,9 @@ const Tombstone = tombstone
 
 // Stride returns the mode-m stride of the key encoding: coordinate i in
 // mode m contributes i·Stride(m) to the key, so mode-m of a key k decodes
-// as k/Stride(m) mod Dim(m).
+// as k/Stride(m) mod Dim(m). The encoding is row-major — the last mode has
+// stride 1 and Stride(m) = Stride(m+1)·Dim(m+1) — so a whole key also
+// decodes by successive division and remainder from mode 0 down.
 func (t *Sparse) Stride(m int) uint64 { return t.strides[m] }
 
 // SliceSpan returns the raw backing key span of the (m,i) slice registry:
@@ -241,26 +276,20 @@ func (t *Sparse) ForEachInSlice(m, i int, fn func(coord []int, v float64)) {
 	coord := t.coordScratch
 	s.ForEach(func(k uint64) {
 		t.Coord(k, coord)
-		fn(coord, t.vals[k])
+		fn(coord, t.AtKey(k))
 	})
 }
 
-// SampleSlice draws up to n distinct nonzero keys uniformly at random from
-// the nonzeros whose mode-m index is i, skipping keys in exclude (which may
-// be nil). It returns encoded keys; decode with Coord.
-func (t *Sparse) SampleSlice(m, i, n int, rng Rand, exclude map[uint64]struct{}) []uint64 {
-	s := t.fibers[m][i]
-	if s == nil {
-		return nil
-	}
-	var skip func(uint64) bool
-	if len(exclude) > 0 {
-		skip = func(k uint64) bool {
-			_, ok := exclude[k]
-			return ok
-		}
-	}
-	return s.Sample(nil, n, rng, skip)
+// Entries returns the raw backing spans of the whole-tensor registry: keys
+// in the deterministic order ForEachKey visits them, interleaved with
+// Tombstone entries that callers must skip, and vals, where vals[j] is the
+// value of keys[j] (meaningless at tombstones). Like SliceSpan the spans
+// are a live view — valid only until the tensor's next mutation, and must
+// not be modified. They exist so whole-tensor scans (fitness, MTTKRP,
+// checkpoint encoding) read each value beside its key without a hash probe
+// or a closure call per nonzero.
+func (t *Sparse) Entries() (keys []uint64, vals []float64) {
+	return t.all.keys, t.all.vals
 }
 
 // ForEachNonzero calls fn(coord, value) over all nonzeros in a
@@ -270,18 +299,26 @@ func (t *Sparse) SampleSlice(m, i, n int, rng Rand, exclude map[uint64]struct{})
 // the same tensor.
 func (t *Sparse) ForEachNonzero(fn func(coord []int, v float64)) {
 	coord := t.coordScratch
-	t.all.ForEach(func(k uint64) {
+	keys, vals := t.Entries()
+	for j, k := range keys {
+		if k == tombstone {
+			continue
+		}
 		t.Coord(k, coord)
-		fn(coord, t.vals[k])
-	})
+		fn(coord, vals[j])
+	}
 }
 
 // ForEachKey calls fn(key, value) over all nonzeros in the same
 // deterministic order as ForEachNonzero.
 func (t *Sparse) ForEachKey(fn func(k uint64, v float64)) {
-	t.all.ForEach(func(k uint64) {
-		fn(k, t.vals[k])
-	})
+	keys, vals := t.Entries()
+	for j, k := range keys {
+		if k == tombstone {
+			continue
+		}
+		fn(k, vals[j])
+	}
 }
 
 // NormSquared returns ‖X‖_F² (maintained incrementally; see Recompute for
@@ -298,9 +335,9 @@ func (t *Sparse) FrobeniusNorm() float64 { return math.Sqrt(t.NormSquared()) }
 
 // RecomputeNormSquared resums ‖X‖_F² from the stored entries and refreshes
 // the maintained accumulator. Useful after very long update sequences to
-// shed floating-point drift. The resum walks the order-preserving key
-// registry, not the value map: float addition is order-dependent, and a
-// map-order resum would make the accumulator — which checkpoints capture —
+// shed floating-point drift. The resum walks the order-preserving
+// registry: float addition is order-dependent, and any other order (a hash
+// map's, say) would make the accumulator — which checkpoints capture —
 // differ bit-for-bit between a process and its crash-recovered successor.
 func (t *Sparse) RecomputeNormSquared() float64 {
 	s := 0.0
@@ -331,15 +368,18 @@ func (t *Sparse) EqualApprox(o *Sparse, tol float64) bool {
 			return false
 		}
 	}
-	//lint:ignore determinism per-key comparison is order-independent; any visit order yields the same boolean
-	for k, v := range t.vals {
-		if math.Abs(v-o.vals[k]) > tol {
+	keys, vals := t.Entries()
+	for j, k := range keys {
+		if k != tombstone && math.Abs(vals[j]-o.AtKey(k)) > tol {
 			return false
 		}
 	}
-	//lint:ignore determinism per-key comparison is order-independent; any visit order yields the same boolean
-	for k, v := range o.vals {
-		if _, ok := t.vals[k]; !ok && math.Abs(v) > tol {
+	keys, vals = o.Entries()
+	for j, k := range keys {
+		if k == tombstone {
+			continue
+		}
+		if _, ok := t.all.pos[k]; !ok && math.Abs(vals[j]) > tol {
 			return false
 		}
 	}
@@ -348,5 +388,5 @@ func (t *Sparse) EqualApprox(o *Sparse, tol float64) bool {
 
 // String summarizes the tensor for debugging.
 func (t *Sparse) String() string {
-	return fmt.Sprintf("Sparse%v nnz=%d ‖X‖=%.4g", t.shape, len(t.vals), t.FrobeniusNorm())
+	return fmt.Sprintf("Sparse%v nnz=%d ‖X‖=%.4g", t.shape, t.NNZ(), t.FrobeniusNorm())
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"slicenstitch/internal/stream"
+	"slicenstitch/internal/tensor"
 )
 
 // windowDTO is the wire form of a Window (gob-encoded): geometry, clock,
@@ -43,10 +44,15 @@ func (win *Window) Encode(w io.Writer) error {
 		Now:    win.now,
 		Seq:    win.seq,
 	}
-	win.x.ForEachKey(func(k uint64, v float64) {
-		dto.Keys = append(dto.Keys, k)
-		dto.Vals = append(dto.Vals, v)
-	})
+	keys, vals := win.x.Entries()
+	dto.Keys = make([]uint64, 0, win.x.NNZ())
+	dto.Vals = make([]float64, 0, win.x.NNZ())
+	for j, k := range keys {
+		if k != tensor.Tombstone {
+			dto.Keys = append(dto.Keys, k)
+			dto.Vals = append(dto.Vals, vals[j])
+		}
+	}
 	for _, ev := range win.pq {
 		coord := make([]int, len(win.dims))
 		win.decodeCat(ev.key, coord)

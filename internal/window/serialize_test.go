@@ -2,11 +2,13 @@ package window
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"slicenstitch/internal/stream"
+	"slicenstitch/internal/tensor"
 )
 
 func TestWindowEncodeDecodeRoundTrip(t *testing.T) {
@@ -33,6 +35,10 @@ func TestWindowEncodeDecodeRoundTrip(t *testing.T) {
 	if !got.X().EqualApprox(win.X(), 0) {
 		t.Fatal("window entries mismatch")
 	}
+	if keys, _ := win.X().Entries(); len(keys) == win.X().NNZ() {
+		t.Fatal("live window holds no tombstones; the order check below would not cover them")
+	}
+	assertSameIterationOrder(t, got.X(), win.X())
 	if got.Pending() != win.Pending() {
 		t.Fatalf("pending %d != %d", got.Pending(), win.Pending())
 	}
@@ -53,6 +59,29 @@ func TestWindowEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !got.X().EqualApprox(win.X(), 0) {
 		t.Fatal("windows diverged after continued replay")
+	}
+	assertSameIterationOrder(t, got.X(), win.X())
+}
+
+// assertSameIterationOrder fails unless got iterates the same (key, value)
+// sequence, bit for bit, as want: the order every MTTKRP and fitness sum
+// accumulates in, which a restored window must reproduce.
+func assertSameIterationOrder(t *testing.T, got, want *tensor.Sparse) {
+	t.Helper()
+	type entry struct {
+		k uint64
+		v uint64
+	}
+	var a, b []entry
+	got.ForEachKey(func(k uint64, v float64) { a = append(a, entry{k, math.Float64bits(v)}) })
+	want.ForEachKey(func(k uint64, v float64) { b = append(b, entry{k, math.Float64bits(v)}) })
+	if len(a) != len(b) {
+		t.Fatalf("iteration length %d != %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("iteration position %d: %+v != %+v", i, a[i], b[i])
+		}
 	}
 }
 
